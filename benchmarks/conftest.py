@@ -70,12 +70,13 @@ def _report_dir() -> Path:
 
 def _plan_microbench(machine, benchmark: str = "mm_fc",
                      reps: int = 5) -> Dict[str, object]:
-    """Cold recursive execution vs warm plan replay on one benchmark.
+    """Cold recursive execution vs warm schedule replay on one benchmark.
 
     Functional-scale subject (``mm_fc``), min-of-``reps`` wall-clock for
-    both paths, identical inputs.  The resulting ``speedup`` (cold /
-    warm) lands in the suite RunReport's notes and is what
-    ``tools/perf_gate.py --min-replay-speedup`` gates on.
+    both paths, identical inputs, the replay schedule built outside the
+    timing.  The resulting ``speedup`` (cold / warm) lands in the suite
+    RunReport's notes and is what ``tools/perf_gate.py
+    --min-replay-speedup`` gates on.
     """
     import time
 
@@ -108,25 +109,15 @@ def _plan_microbench(machine, benchmark: str = "mm_fc",
     cold = best_of(lambda: FractalExecutor(
         machine, fresh_store()).run_program(w.program))
     plan = compile_program(machine, w.program)
-    # ``batch=False`` pins the classic step-by-step loop so ``speedup``
-    # keeps its historical meaning (recursion vs unbatched replay) and
-    # ``batched_speedup`` isolates exactly what vectorization buys.
-    warm = best_of(lambda: FractalExecutor(
-        machine, fresh_store()).run_program(w.program, plan=plan,
-                                            batch=False))
     schedule = plan.replay_schedule()  # built once, outside the timing
-    warm_batched = best_of(lambda: FractalExecutor(
-        machine, fresh_store()).run_program(w.program, plan=plan,
-                                            batch=True))
+    warm = best_of(lambda: FractalExecutor(
+        machine, fresh_store()).run_program(w.program, plan=plan))
     return {
         "benchmark": benchmark,
         "reps": reps,
         "cold_recursive_s": cold,
         "warm_replay_s": warm,
-        "warm_batched_s": warm_batched,
         "speedup": (cold / warm) if warm > 0 else float("inf"),
-        "batched_speedup": (warm / warm_batched) if warm_batched > 0
-                           else float("inf"),
         "batched_steps": schedule.batched_steps,
         "batched_lanes": schedule.batched_lanes,
         "arena_bytes": schedule.arena.nbytes,

@@ -1172,29 +1172,26 @@ def cmd_compile(args) -> int:
     rng = np.random.default_rng(args.seed)
     bound = list(w.inputs.values()) + list(w.params.values())
     arrays = {t.uid: rng.normal(size=t.shape) for t in bound}
-    # Three-way: recursive execution, classic step-by-step replay, and
-    # vectorized (BatchedStep) replay must all agree bit-for-bit.
-    modes = (("recursive", None, None), ("replay", plan, False),
-             ("batched replay", plan, True))
+    # Recursive execution (the reference) and schedule replay must agree
+    # bit-for-bit.
     results = []
-    for mode, use_plan, use_batch in modes:
+    for use_plan in (None, plan):
         store = TensorStore()
         for t in bound:
             store.bind(t, arrays[t.uid])
-        FractalExecutor(machine, store).run_program(
-            w.program, plan=use_plan, batch=use_batch)
+        FractalExecutor(machine, store).run_program(w.program, plan=use_plan)
         results.append({name: store.read(t.region())
                         for name, t in w.outputs.items()})
-    for (mode, _, _), candidate in zip(modes[1:], results[1:]):
-        for name in results[0]:
-            if not np.array_equal(results[0][name], candidate[name]):
-                print(f"compile: --verify FAILED: output {name!r} differs "
-                      f"between recursive execution and {mode}",
-                      file=sys.stderr)
-                return 1
+    reference, replayed = results
+    for name in reference:
+        if not np.array_equal(reference[name], replayed[name]):
+            print(f"compile: --verify FAILED: output {name!r} differs "
+                  f"between recursive execution and replay",
+                  file=sys.stderr)
+            return 1
     schedule = plan.replay_schedule()
-    print(f"  verify              replay and batched replay bit-identical "
-          f"({len(results[0])} output(s), {schedule.batched_steps} "
+    print(f"  verify              replay bit-identical to recursion "
+          f"({len(reference)} output(s), {schedule.batched_steps} "
           f"batched step(s))")
     return 0
 
@@ -1280,27 +1277,14 @@ def cmd_plan_lint(args) -> int:
     result.program_name = name
     gating = result.diagnostics if args.strict else result.errors
 
-    # Batching summary: what the vectorization pass lowered, which lanes
-    # must take the counted per-lane fallback (no bit-identical stacked
-    # kernel for their opcode), and the arena the schedule preallocates.
-    # ``--no-batch`` skips schedule construction entirely.
-    batching = None
-    if not getattr(args, "no_batch", False):
-        from .ops.batch import batched_kernel_for
-
-        schedule = plan.replay_schedule()
-        fallback_opcodes: dict = {}
-        for b in plan.batched:
-            if batched_kernel_for(b.opcode) is None:
-                fallback_opcodes[b.opcode.value] = (
-                    fallback_opcodes.get(b.opcode.value, 0) + b.n_lanes)
-        batching = {
-            "batched_steps": schedule.batched_steps,
-            "batched_lanes": schedule.batched_lanes,
-            "batch_fallback_opcodes": fallback_opcodes,
-            "arena_bytes": schedule.arena.nbytes,
-            "fully_batched": schedule.fully_batched,
-        }
+    # Batching summary: the stacked-kernel groups the schedule lowered and
+    # the arena it preallocates.
+    schedule = plan.replay_schedule()
+    batching = {
+        "batched_steps": schedule.batched_steps,
+        "batched_lanes": schedule.batched_lanes,
+        "arena_bytes": schedule.arena.nbytes,
+    }
 
     if getattr(args, "json", False):
         doc = diagnostics_document([result], tool="plan-lint")
@@ -1311,9 +1295,8 @@ def cmd_plan_lint(args) -> int:
             "fused_steps": analysis.fused_steps,
             "safe_zero_copy_steps": analysis.n_safe_zero_copy,
             "peak_live_bytes": analysis.peak_live_bytes,
+            **batching,
         }
-        if batching is not None:
-            doc["plan"].update(batching)
         print(json.dumps(doc, indent=2))
         return 1 if gating else 0
 
@@ -1326,17 +1309,9 @@ def cmd_plan_lint(args) -> int:
     print(f"  safe zero-copy      {analysis.n_safe_zero_copy:12d}"
           f"/{plan.n_steps} steps")
     print(f"  peak live bytes     {analysis.peak_live_bytes:12d}")
-    if batching is not None:
-        print(f"  batched steps       {batching['batched_steps']:12d} "
-              f"covering {batching['batched_lanes']}/{plan.n_steps} steps")
-        print(f"  arena bytes         {batching['arena_bytes']:12d}")
-        if batching["batch_fallback_opcodes"]:
-            folded = ", ".join(
-                f"{op} ({lanes} lanes)" for op, lanes in
-                sorted(batching["batch_fallback_opcodes"].items()))
-            print(f"  per-lane fallbacks  {folded}")
-            print("  default engine      classic replay (fallback lanes "
-                  "present; batch=True forces the schedule)")
+    print(f"  batched steps       {batching['batched_steps']:12d} "
+          f"covering {batching['batched_lanes']}/{plan.n_steps} steps")
+    print(f"  arena bytes         {batching['arena_bytes']:12d}")
     return 1 if gating else 0
 
 
@@ -1485,9 +1460,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="emit the schema-versioned repro.diag diagnostics "
                         "document (plus a plan summary section)")
-    p.add_argument("--no-batch", action="store_true",
-                   help="skip the batching summary (BatchedStep lowering, "
-                        "per-lane fallbacks, arena size)")
     p.set_defaults(fn=cmd_plan_lint)
 
     p = sub.add_parser("profile", help="run + simulate a benchmark with "

@@ -56,13 +56,10 @@ class ExecutionStats:
     #: tensor bytes read from / written to the store by kernels and LFUs.
     bytes_read: int = 0
     bytes_written: int = 0
-    #: batched replay: BatchedStep groups executed and the plan steps
+    #: plan replay: BatchedStep groups executed and the plan steps
     #: (lanes) they covered with one stacked kernel call each.
     batched_steps: int = 0
     batched_lanes: int = 0
-    #: lanes executed by the counted per-lane fallback because their
-    #: opcode has no bit-identical stacked kernel (repro.ops.batch).
-    batch_fallbacks: int = 0
     #: runtime operand-aliasing scans skipped because the schedule carries
     #: the analyzer's interference result as a precomputed copy-mask.
     alias_scan_skips: int = 0
@@ -105,7 +102,6 @@ class ExecutionStats:
             ("executor.bytes_written", ()): self.bytes_written,
             ("plan.batched_steps", ()): self.batched_steps,
             ("plan.batched_lanes", ()): self.batched_lanes,
-            ("ops.batch_fallbacks", ()): self.batch_fallbacks,
             ("executor.alias_scan_skips", ()): self.alias_scan_skips,
         }
         for level, n in self.instructions_per_level.items():
@@ -169,8 +165,7 @@ class FractalExecutor:
                                apply_sequential=self.apply_sequential)
 
     def run_program(self, program: Iterable[Instruction],
-                    plan: Optional["FractalPlan"] = None,
-                    batch: Optional[bool] = None) -> TensorStore:
+                    plan: Optional["FractalPlan"] = None) -> TensorStore:
         """Execute an instruction sequence top-down; returns the store.
 
         With ``preflight=True`` the program is first run through the static
@@ -179,12 +174,13 @@ class FractalExecutor:
         failure (or silent divergence) deep inside the recursion.
 
         With ``plan`` (from :meth:`compile`) the decomposition recursion is
-        skipped entirely and the flattened plan is replayed instead --
-        bit-identical results, compile-once/run-many cost.  ``batch``
-        selects the replay mode (see :meth:`run_plan`).
+        skipped entirely and the plan is replayed instead (:meth:`run_plan`)
+        -- bit-identical results, compile-once/run-many cost.  Without a
+        plan this recursion is the reference every replay is checked
+        against.
         """
         if plan is not None:
-            return self.run_plan(plan, batch=batch)
+            return self.run_plan(plan)
         program = list(program)
         if self.preflight:
             from ..analysis import analyze  # deferred: keeps core import-light
@@ -224,107 +220,30 @@ class FractalExecutor:
         self._publish_counters()
         return self.store
 
-    def run_plan(self, plan: "FractalPlan",
-                 batch: Optional[bool] = None) -> TensorStore:
+    def run_plan(self, plan: "FractalPlan") -> TensorStore:
         """Replay a compiled plan: the warm path of compile-once/run-many.
 
-        Executes the flattened kernel/LFU steps in their recorded order --
-        no ``shrink_sequential``, no ``decompose_parallel``, no rule
-        searches -- producing results bit-identical to the recursive path.
-        The plan's precomputed stats are merged up front (replay performs
-        exactly that work; on a mid-replay failure the stats overstate the
-        completed portion, which errs on the visible side).
-
-        ``batch`` selects the replay engine:
-
-        * ``None`` (default): vectorized schedule replay when the plan
-          lowered at least one :class:`~repro.plan.batch.BatchedStep`
-          *and* every lowered lane has a stacked kernel -- a fallback
-          group pays gather/scatter copies with no stacked call to
-          amortize them, so partially covered (conv-heavy) plans keep
-          the classic loop;
-        * ``True``: always replay through the schedule (even all-singles
-          or all-fallback -- the verification/measurement mode);
-        * ``False``: always the classic loop -- the reference baseline the
-          batched engine is measured (and bit-compared) against.
-        """
-        if batch is not False:
-            schedule = plan.replay_schedule()
-            if batch or schedule.fully_batched:
-                return self._run_schedule(plan, schedule)
-        self.stats.merge_plan(plan.stats)
-        tracer = telemetry.get_tracer()
-        log = obs.logger("executor")
-        store = self.store
-        execute = ops.execute
-        with tracer.span("executor.replay", cat="program",
-                         machine=self.machine.name, steps=plan.n_steps):
-            log.info("replay.start", machine=self.machine.name,
-                     steps=plan.n_steps)
-            # Hoisted profiler check: replay pays one global None-test per
-            # run, not per step, when no sampling profiler is active.
-            set_step = _prof.set_step if _prof.profiling() else None
-            for index, step in enumerate(plan.steps):
-                obs.beat("executor")
-                if index and index % REPLAY_PROGRESS_STRIDE == 0:
-                    log.debug("replay.progress", step=index,
-                              steps=plan.n_steps)
-                inst = step.inst
-                if set_step is not None:
-                    set_step(inst.opcode.value, step.level)
-                try:
-                    if step.safe_zero_copy:
-                        # Statically proven alias-free by the plan analyzer
-                        # (repro.plan.analysis): skip the runtime overlap
-                        # scan and hand the kernel read-only views directly.
-                        operands = [store.read(r, copy=False)
-                                    for r in inst.inputs]
-                        store.static_zero_copy += len(operands)
-                    else:
-                        operands = self._read_operands(inst)
-                    outputs = execute(inst.opcode, operands, step.run_attrs)
-                except Exception as err:
-                    log.error("replay.fail", opcode=inst.opcode.value,
-                              level=step.level, step=index,
-                              error=f"{type(err).__name__}: {err}")
-                    raise
-                if len(outputs) != len(inst.outputs):
-                    raise RuntimeError(
-                        f"{inst.opcode} produced {len(outputs)} outputs, "
-                        f"expected {len(inst.outputs)}")
-                if step.accumulate:
-                    for region, value in zip(inst.outputs, outputs):
-                        store.write_accumulate(region, value)
-                else:
-                    for region, value in zip(inst.outputs, outputs):
-                        store.write(region, value)
-            log.info("replay.end", kernel_calls=self.stats.kernel_calls)
-        _prof.clear_step()
-        registry = telemetry.get_registry()
-        if registry.enabled and plan.stats.peak_live_bytes:
-            registry.gauge("plan.peak_live_bytes").set_max(
-                plan.stats.peak_live_bytes)
-        self._publish_counters()
-        return self.store
-
-    def _run_schedule(self, plan: "FractalPlan", schedule) -> TensorStore:
-        """Vectorized replay: one stacked kernel call per BatchedStep.
-
         Walks the plan's precompiled :class:`~repro.plan.batch.
-        ReplaySchedule` -- singles with precomputed kernels/slices/copy-
-        masks interleaved with batched groups whose operands gather as
-        strided views -- and is bit-identical to the classic loop by
-        construction.  Plan-owned intermediates live in one flat arena
+        ReplaySchedule` -- no ``shrink_sequential``, no
+        ``decompose_parallel``, no rule searches.  Single items carry
+        precomputed kernels, slices and copy-masks; each
+        :class:`~repro.plan.batch.BatchedItem` gathers its lanes as
+        strided views and runs one stacked kernel call, the lockstep
+        execution of isomorphic FFUs.  Results are bit-identical to the
+        recursive path.  Plan-owned intermediates live in one flat arena
         buffer attached up front; recycled slots are re-zeroed exactly
         when the owning tensor's live interval opens, reproducing
         ``TensorStore.ensure`` zero-fill semantics.
 
-        Observability contracts of the classic loop are preserved: one
-        watchdog beat per plan step (bulk form for groups), one
+        The plan's precomputed stats are merged up front (replay performs
+        exactly that work; on a mid-replay failure the stats overstate the
+        completed portion, which errs on the visible side).  Replay emits
+        one watchdog beat per plan step (bulk form for groups), one
         ``replay.progress`` event per :data:`REPLAY_PROGRESS_STRIDE`
         steps, profiler step attribution per item, and per-opcode
         ``ops.dispatch`` counts (one bulk increment per group).
         """
+        schedule = plan.replay_schedule()
         self.stats.merge_plan(plan.stats)
         self.stats.batched_steps += schedule.batched_steps
         self.stats.batched_lanes += schedule.batched_lanes
@@ -332,9 +251,9 @@ class FractalExecutor:
         registry = telemetry.get_registry()
         log = obs.logger("executor")
         store = self.store
-        # Hoisted once per replay (the classic loop re-checks inside every
-        # ops.execute): with telemetry dark, singles call their kernel
-        # directly and groups skip span/count bookkeeping.
+        # Hoisted once per replay (ops.execute re-checks on every call):
+        # with telemetry dark, singles call their kernel directly and
+        # groups skip span/count bookkeeping.
         fast = not tracer.enabled and not registry.enabled
         with tracer.span("executor.replay", cat="program",
                          machine=self.machine.name, steps=plan.n_steps,
@@ -439,13 +358,13 @@ class FractalExecutor:
                 store.copied_reads += k
         store.static_zero_copy += item.n_in * k
         if fast:
-            stacked = self._batched_call(item, operands)
+            stacked = item.batched_kernel(operands, item.run_attrs)
         else:
             registry.count("ops.dispatch", k, labels={"opcode": item.opval})
             obs.logger("ops").debug("dispatch.batched", opcode=item.opval,
                                     lanes=k)
             with tracer.span(f"op:{item.opval}", cat="op", lanes=k):
-                stacked = self._batched_call(item, operands)
+                stacked = item.batched_kernel(operands, item.run_attrs)
         stacked = np.asarray(stacked, dtype=np.float64)
         want = (k,) + item.out_shape
         if stacked.shape != want:
@@ -455,26 +374,6 @@ class FractalExecutor:
                     f"value {stacked.shape}")
             stacked = stacked.reshape(want)
         item.scatter.scatter(store, stacked, item.accumulate)
-
-    def _batched_call(self, item, operands):
-        """The group's stacked kernel, or the counted per-lane fallback."""
-        kern = item.batched_kernel
-        if kern is not None:
-            return kern(operands, item.run_attrs)
-        self.stats.batch_fallbacks += item.k
-        lane_kern = item.kernel
-        attrs = item.run_attrs
-        n_in = item.n_in
-        out = np.empty((item.k,) + item.out_shape, dtype=np.float64)
-        for i in range(item.k):
-            lane = [operands[j][i] for j in range(n_in)]
-            value = lane_kern(lane, attrs)
-            if isinstance(value, tuple):
-                value = value[0]
-            value = np.asarray(value, dtype=np.float64)
-            out[i] = (value if value.shape == item.out_shape
-                      else value.reshape(item.out_shape))
-        return out
 
     def _publish_counters(self) -> None:
         """Mirror stats deltas into the telemetry registry (if enabled)."""

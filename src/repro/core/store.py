@@ -115,7 +115,7 @@ class TensorStore:
         ``bindings`` maps each tensor to its element offset (from
         :class:`repro.plan.batch.ArenaLayout`); a fresh zeroed float64
         buffer of ``total_elems`` is allocated and each tensor is bound to
-        a contiguous view of it, so batched replay resolves intermediates
+        a contiguous view of it, so schedule replay resolves intermediates
         with offset arithmetic instead of growing ``_arrays`` one
         ``np.zeros`` at a time.  Returns the views in binding order (the
         executor re-zeroes recycled slots through them).  Existing

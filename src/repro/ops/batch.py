@@ -3,7 +3,7 @@
 Each entry executes ``k`` isomorphic lanes at once on ``(k, ...)``-stacked
 operands and must be **bit-identical** per lane to ``k`` separate calls of
 the reference kernel in :mod:`repro.ops.dispatch` -- that is the contract
-batched plan replay is built on, and ``tests/test_batch.py`` enforces it
+plan replay's stacked calls are built on, and ``tests/test_batch.py`` enforces it
 per opcode and end-to-end.  The bit-identity arguments, per family:
 
 * ``MatMul``: ``np.matmul`` on ``(k, m, n) @ (k, n, p)`` stacks runs the
@@ -19,8 +19,8 @@ per opcode and end-to-end.  The bit-identity arguments, per family:
 
 ``Cv2D``/``Cv3D`` are **deliberately absent**: collapsing lanes into the
 patch-gemm M dimension changes BLAS blocking and the results differ in the
-last ulp -- those groups take the counted per-lane fallback
-(``ops.batch_fallbacks``).  ``Merge1D`` is absent because the reference is
+last ulp -- ``lower_plan`` leaves those groups unlowered and their lanes
+replay as single steps.  ``Merge1D`` is absent because the reference is
 a sequential pure-Python merge with nothing to vectorize.
 """
 
@@ -138,7 +138,7 @@ _BATCHED_KERNELS: Dict[Opcode, object] = {
 
 
 def batched_kernel_for(opcode: Opcode) -> Optional[object]:
-    """The stacked kernel for ``opcode``, or ``None`` (per-lane fallback).
+    """The stacked kernel for ``opcode``, or ``None`` (replayed as singles).
 
     A ``None`` here is a statement about *bit-identity*, not feasibility:
     opcodes are only registered when the stacked form provably reproduces

@@ -41,11 +41,9 @@ from .batch import (
     BatchedStep,
     ReplaySchedule,
     SingleItem,
-    batched_table,
     build_arena_layout,
     build_schedule,
     lower_plan,
-    normalize_batched_docs,
 )
 from .cache import (
     DiskPlanCache,
@@ -87,7 +85,6 @@ __all__ = [
     "SingleItem",
     "analyze_plan",
     "annotate_plan",
-    "batched_table",
     "build_arena_layout",
     "build_schedule",
     "compile_cached",
@@ -97,7 +94,6 @@ __all__ = [
     "get_plan_cache",
     "lower_plan",
     "machine_fingerprint",
-    "normalize_batched_docs",
     "plan_from_doc",
     "plan_key",
     "reset_plan_cache",

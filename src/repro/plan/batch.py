@@ -7,11 +7,12 @@ every compiled plan as ``plan.fusion_groups``.  This module turns those
 proofs into execution structure, the paper's lockstep-FFU claim made
 concrete:
 
-* :func:`lower_plan` lowers each legal group of ``k`` lanes into a
+* :func:`lower_plan` lowers each legal group of ``k`` lanes whose opcode
+  has a bit-identical stacked kernel (:mod:`repro.ops.batch`) into a
   :class:`BatchedStep` (one opcode, stacked ``(k, ...)`` operand tables,
-  shared run_attrs), serialized into the schema-v3 plan document and
-  re-derived/compared on every cache load so a tampered table can never
-  steer the executor;
+  shared run_attrs); every other group replays as single steps.  The
+  lowering is re-derived from ``plan.fusion_groups`` on every cache load,
+  never stored;
 * :func:`build_schedule` compiles the step list into a
   :class:`ReplaySchedule`: an interleaving of :class:`BatchedItem` groups
   and :class:`SingleItem` steps with every per-replay decision -- kernel
@@ -21,8 +22,8 @@ concrete:
   tile one tensor at a constant element stride (the shape fractal
   decomposition emits), the stacked ``(k, ...)`` operand is an
   ``as_strided`` view of the backing array (zero bytes moved; a stride of
-  0 expresses a broadcast operand shared by every lane), with a counted
-  per-lane copy loop as the general fallback;
+  0 expresses a broadcast operand shared by every lane), with a copy
+  loop over the lanes for the general case;
 * :func:`build_arena_layout` first-fit allocates every plan-owned
   intermediate into one flat buffer using the same live-interval sweep
   that produced ``PlanStats.peak_live_bytes``, at schedule-item
@@ -31,9 +32,10 @@ concrete:
   tensor's first touch, reproducing ``TensorStore.ensure`` zero-fill
   semantics exactly.
 
-Replaying the schedule is bit-identical to unbatched replay by
-construction (verified per-opcode by the batched-kernel registry tests and
-end-to-end by the suite sweep in ``tests/test_batch.py``).
+The schedule is the only plan-replay engine.  Replaying it is
+bit-identical to recursive execution (verified per-opcode by the
+batched-kernel registry tests and end-to-end by the suite sweep in
+``tests/test_batch.py``).
 """
 
 from __future__ import annotations
@@ -54,15 +56,13 @@ __all__ = [
     "BatchedStep",
     "ReplaySchedule",
     "SingleItem",
-    "batched_table",
     "build_arena_layout",
     "build_schedule",
     "lower_plan",
-    "normalize_batched_docs",
 ]
 
 
-# -- BatchedStep: the serialized lowering product ---------------------------
+# -- BatchedStep: the lowering product ---------------------------------------
 
 @dataclass(frozen=True)
 class BatchedStep:
@@ -86,29 +86,23 @@ class BatchedStep:
     def n_lanes(self) -> int:
         return self.stop - self.start
 
-    def to_doc(self) -> dict:
-        return {
-            "start": self.start,
-            "stop": self.stop,
-            "kind": self.kind,
-            "opcode": self.opcode.value,
-            "level": self.level,
-            "lanes": self.n_lanes,
-        }
-
 
 def lower_plan(plan: FractalPlan) -> List[BatchedStep]:
     """Lower every batchable fusion group of ``plan`` into BatchedSteps.
 
     Deterministic in the plan's analysis products: same steps + same
-    ``fusion_groups`` always produce the same table (which is what lets
-    the cache-load path re-derive and compare it).  Groups whose steps
-    are not single-output are left unlowered -- they replay as singles.
+    ``fusion_groups`` always produce the same table.  Groups whose opcode
+    has no stacked kernel, or whose steps are not single-output, are left
+    unlowered -- they replay as singles.
     """
+    from ..ops.batch import batched_kernel_for  # deferred: import order
+
     batched: List[BatchedStep] = []
     for start, stop in plan.fusion_groups:
+        lead = plan.steps[start]
+        if batched_kernel_for(lead.inst.opcode) is None:
+            continue
         lanes = tuple(plan.steps[start:stop])
-        lead = lanes[0]
         if any(len(s.inst.outputs) != 1 for s in lanes):
             continue
         if any(s.kind != lead.kind or s.level != lead.level
@@ -124,22 +118,6 @@ def lower_plan(plan: FractalPlan) -> List[BatchedStep]:
             run_attrs=lead.run_attrs, accumulate=lead.accumulate,
             lanes=lanes))
     return batched
-
-
-def batched_table(batched: Sequence[BatchedStep]) -> List[Tuple]:
-    """Comparable identity of a lowering (cache verification token)."""
-    return [(b.start, b.stop, b.kind, b.opcode.value, b.level, b.n_lanes)
-            for b in batched]
-
-
-def normalize_batched_docs(raw) -> List[Tuple]:
-    """A stored ``batched`` document section, as a comparable table."""
-    table = []
-    for entry in raw:
-        table.append((int(entry["start"]), int(entry["stop"]),
-                      str(entry["kind"]), str(entry["opcode"]),
-                      int(entry["level"]), int(entry["lanes"])))
-    return table
 
 
 # -- gather / scatter addressing -------------------------------------------
@@ -318,17 +296,15 @@ class SingleItem:
 
 
 class BatchedItem:
-    """One BatchedStep with resolved addressing and kernels: per-operand
-    gather specs, the output scatter spec, the stacked batched kernel (or
-    ``None``, selecting the counted per-lane fallback)."""
+    """One BatchedStep with resolved addressing: per-operand gather specs,
+    the output scatter spec and the group's stacked kernel."""
 
     __slots__ = ("start", "stop", "k", "opcode", "opval", "level", "kind",
                  "run_attrs", "accumulate", "gathers", "scatter",
-                 "out_shape", "out_nelems", "kernel", "batched_kernel",
-                 "n_in")
+                 "out_shape", "out_nelems", "batched_kernel", "n_in")
     batched = True
 
-    def __init__(self, bstep: BatchedStep, kernel, batched_kernel) -> None:
+    def __init__(self, bstep: BatchedStep, batched_kernel) -> None:
         self.start = bstep.start
         self.stop = bstep.stop
         self.k = bstep.n_lanes
@@ -338,7 +314,6 @@ class BatchedItem:
         self.kind = bstep.kind
         self.run_attrs = bstep.run_attrs
         self.accumulate = bstep.accumulate
-        self.kernel = kernel
         self.batched_kernel = batched_kernel
         insts = [s.inst for s in bstep.lanes]
         self.n_in = len(insts[0].inputs)
@@ -355,64 +330,49 @@ class BatchedItem:
 
 @dataclass
 class ReplaySchedule:
-    """Batched replay program for one plan: ordered items + the arena."""
+    """Replay program for one plan: ordered items + the arena."""
 
     items: List[object]
     n_steps: int
     arena: "ArenaLayout"
     batched_steps: int
     batched_lanes: int
-    #: lanes whose group has no stacked kernel and would run the counted
-    #: per-lane fallback (gather copies + a python loop) -- slower than
-    #: the singles path they replace.
-    fallback_lanes: int
 
     @property
-    def has_batches(self) -> bool:
-        return self.batched_steps > 0
+    def fallback_lanes(self) -> int:
+        # Always 0 (every lowered group has a stacked kernel); read by perfbench/worker.py.
+        return 0
 
     @property
     def fully_batched(self) -> bool:
-        """Every lowered lane has a stacked kernel (no fallback lanes).
-
-        The default replay policy engages the vectorized engine only for
-        fully-covered schedules: a fallback group pays gather/scatter
-        copies without a stacked kernel to amortize them, so partially
-        covered plans (conv-heavy models) default to the classic loop.
-        ``batch=True`` still forces the schedule, fallbacks and all.
-        """
-        return self.batched_steps > 0 and self.fallback_lanes == 0
+        # Always True (the schedule is the only engine); read by perfbench/worker.py.
+        return True
 
 
 def build_schedule(plan: FractalPlan) -> ReplaySchedule:
     """Compile ``plan.steps`` + ``plan.batched`` into a ReplaySchedule."""
+    # Looked up at call time so instrumentation wrapping the registries
+    # sees every kernel the schedule binds.
     from ..ops.batch import batched_kernel_for
     from ..ops.dispatch import kernel_for
 
     items: List[object] = []
     pos = 0
     lanes = 0
-    n_batched = 0
-    fallback_lanes = 0
     for bstep in sorted(plan.batched, key=lambda b: b.start):
         for index in range(pos, bstep.start):
             step = plan.steps[index]
             items.append(SingleItem(index, step, kernel_for(step.inst.opcode)))
-        batched_kernel = batched_kernel_for(bstep.opcode)
-        items.append(BatchedItem(bstep, kernel_for(bstep.opcode),
-                                 batched_kernel))
+        items.append(BatchedItem(bstep, batched_kernel_for(bstep.opcode)))
         lanes += bstep.n_lanes
-        if batched_kernel is None:
-            fallback_lanes += bstep.n_lanes
-        n_batched += 1
         pos = bstep.stop
     for index in range(pos, plan.n_steps):
         step = plan.steps[index]
         items.append(SingleItem(index, step, kernel_for(step.inst.opcode)))
     arena = build_arena_layout(plan, items)
     return ReplaySchedule(items=items, n_steps=plan.n_steps, arena=arena,
-                          batched_steps=n_batched, batched_lanes=lanes,
-                          fallback_lanes=fallback_lanes)
+                          batched_steps=len(plan.batched),
+                          batched_lanes=lanes)
 
 
 # -- arena layout -----------------------------------------------------------

@@ -119,8 +119,8 @@ def compile_program(
     # Analyze-on-compile: every plan that reaches the executor or a cache
     # tier carries zero-copy proofs, fusion groups and the live-byte peak.
     analysis = annotate_plan(plan)
-    # Lower-on-compile: the proven fusion groups become BatchedSteps so
-    # batched replay (and the schema-v3 document) never re-derives them.
+    # Lower-on-compile: the proven fusion groups that have a stacked kernel
+    # become BatchedSteps, so schedule replay never re-derives them.
     plan.batched = lower_plan(plan)
     plan.compile_seconds = time.perf_counter() - t0
     log.info("compile.end", steps=len(steps),

@@ -24,11 +24,11 @@ from ..core.isa import Instruction, Opcode
 from ..core.tensor import DType, Region, Tensor
 
 #: version stamp of the serialized plan document; bump on any layout change
-#: (old entries then simply miss and are recompiled).  v3 added the
-#: ``batched`` BatchedStep table (verified against a fresh lowering on
-#: load), so v2 disk-cache entries miss and recompile.
+#: (old entries then simply miss and are recompiled).  v4 dropped v3's
+#: stored ``batched`` table: the lowering is re-derived from
+#: ``fusion_groups`` on every load.
 PLAN_SCHEMA = "repro.plan"
-PLAN_SCHEMA_VERSION = 3
+PLAN_SCHEMA_VERSION = 4
 
 #: instruction attributes that steer the executor's write-back, not the
 #: kernel itself; precomputed out of every step's ``run_attrs``.
@@ -162,9 +162,9 @@ class FractalPlan:
     #: only for plans that bypassed the compiler's annotate stage.
     analysis: Optional[dict] = None
     #: fusion groups lowered for stacked execution
-    #: (:class:`repro.plan.batch.BatchedStep`); stamped by the compiler,
-    #: re-derived lazily by :meth:`ensure_lowered` for plans annotated by
-    #: hand, and schema-v3-serialized with verify-on-load.
+    #: (:class:`repro.plan.batch.BatchedStep`); stamped by the compiler and
+    #: on document load, re-derived lazily by :meth:`ensure_lowered` for
+    #: plans annotated by hand; never serialized.
     batched: List = field(default_factory=list)
     #: lazily built :class:`repro.plan.batch.ReplaySchedule` (kernel
     #: callables, gather/scatter addressing, arena layout); per-plan
@@ -188,7 +188,7 @@ class FractalPlan:
         return self.batched
 
     def replay_schedule(self):
-        """The batched replay schedule (built once, cached on the plan)."""
+        """The replay schedule (built once, cached on the plan)."""
         if self._schedule is None:
             from .batch import build_schedule  # deferred: cycle guard
 
@@ -307,7 +307,6 @@ class FractalPlan:
             "compile_seconds": self.compile_seconds,
             "fusion_groups": [list(g) for g in self.fusion_groups],
             "analysis": self.analysis,
-            "batched": [b.to_doc() for b in self.ensure_lowered()],
         }
 
 
@@ -390,28 +389,9 @@ def plan_from_doc(doc: dict, externals: Sequence[Tensor],
             fusion_groups=fusion_groups,
             analysis=analysis,
         )
-        # The stored BatchedStep table must match a fresh lowering of the
-        # rebuilt plan exactly -- a tampered or stale table must never
-        # steer the batched executor, so on mismatch the document is
-        # rejected (the cache then recompiles).  The fresh lowering is
-        # what the plan carries; the stored table is only a check.
-        from .batch import (batched_table, lower_plan,
-                            normalize_batched_docs)
+        from .batch import lower_plan  # deferred: batch imports plan
 
         plan.batched = lower_plan(plan)
-        stored = doc.get("batched")
-        if stored is None:
-            if plan.fusion_groups:
-                raise PlanFormatError(
-                    "plan document is missing its batched-step table")
-        else:
-            if not isinstance(stored, list):
-                raise PlanFormatError(
-                    "plan batched section must be a list")
-            if normalize_batched_docs(stored) != batched_table(plan.batched):
-                raise PlanFormatError(
-                    "batched-step table does not match a fresh lowering "
-                    "of the plan's fusion groups")
         return plan
     except PlanFormatError:
         raise

@@ -1,14 +1,14 @@
-"""Vectorized leaf-batch replay tests: suite-wide bit-identity, the
-tensor arena, schema-v3 cache round-trips/poisoning, batched counters,
-the fallback default policy, and the sentinel wiring for the new metrics.
+"""Schedule replay tests: suite-wide bit-identity, the stacked-kernel
+lowering, the tensor arena, plan-document cache round-trips/poisoning,
+batched counters, and the sentinel wiring for the replay metrics.
 
-The acceptance bar for the vectorization pass is *bit-identity*: for
-every paper benchmark on both machine instances, replaying the batched
-schedule must produce byte-for-byte the arrays the classic step loop
-produces.  Everything else here defends the supporting structure -- the
-arena never aliases two concurrently-live tensors, a tampered
-BatchedStep table can never steer the executor, and a collapse of
-``batched_speedup`` (or growth of fallback lanes) trips the perf-trend
+The acceptance bar for plan replay is *bit-identity*: for every paper
+benchmark on both machine instances, replaying the schedule must produce
+byte-for-byte the arrays recursive execution (the reference) produces.
+Everything else here defends the supporting structure -- only groups
+with a stacked kernel are lowered, the arena never aliases two
+concurrently-live tensors, a tampered cache entry can never steer the
+executor, and a collapse of ``replay_speedup`` trips the perf-trend
 sentinel.
 """
 
@@ -37,9 +37,8 @@ from repro.obs.history import points_from_report
 from repro.ops.batch import batched_kernel_for, batched_opcodes
 from repro.plan import (
     DiskPlanCache,
+    PLAN_SCHEMA_VERSION,
     PlanCache,
-    PlanFormatError,
-    batched_table,
     compile_cached,
     compile_program,
     machine_fingerprint,
@@ -75,35 +74,40 @@ def _bound_tensors(w):
     return list(w.inputs.values()) + list(w.params.values())
 
 
-def _replay_outputs(machine, w, plan, batch):
-    """Run the workload (replaying ``plan``) and return its output arrays."""
+def _run_outputs(machine, w, plan):
+    """Run the workload -- recursively when ``plan`` is None, else by
+    replaying it -- and return the executor and its output arrays."""
     rng = np.random.default_rng(0)
     store = TensorStore()
     for t in _bound_tensors(w):
         store.bind(t, rng.normal(size=t.shape))
     executor = FractalExecutor(machine, store)
-    executor.run_program(w.program, plan=plan, batch=batch)
+    executor.run_program(w.program, plan=plan)
     return executor, {n: store.read(t.region()) for n, t in w.outputs.items()}
+
+
+def _lowering(batched):
+    """Comparable identity of a lowering (lanes hold per-plan tensors)."""
+    return [(b.start, b.stop, b.kind, b.opcode, b.level) for b in batched]
 
 
 # -- suite-wide bit-identity --------------------------------------------------
 
 class TestSuiteBitIdentity:
-    """Batched replay == unbatched replay, byte for byte, on every
-    (benchmark, machine) combination of the paper suite.  (Unbatched
-    replay is itself bit-identical to recursion -- test_plan.py -- so
-    this chains to the recursive reference.)"""
+    """Schedule replay == recursive execution, byte for byte, on every
+    (benchmark, machine) combination of the paper suite."""
 
     @pytest.mark.parametrize("machine_key", ["f1", "f100"])
     @pytest.mark.parametrize("name", SUITE)
     def test_batched_replay_bit_identical(self, machine_key, name):
         machine, w, plan = _suite_plan(machine_key, name)
-        _, plain = _replay_outputs(machine, w, plan, batch=False)
-        executor, batched = _replay_outputs(machine, w, plan, batch=True)
+        _, reference = _run_outputs(machine, w, None)
+        executor, replayed = _run_outputs(machine, w, plan)
         assert executor.stats.batched_steps == \
             plan.replay_schedule().batched_steps
-        for out_name in plain:
-            np.testing.assert_array_equal(batched[out_name], plain[out_name])
+        for out_name in reference:
+            np.testing.assert_array_equal(replayed[out_name],
+                                          reference[out_name])
 
 
 # -- the stacked-kernel registry ---------------------------------------------
@@ -115,7 +119,7 @@ class TestBatchedKernelRegistry:
         assert Opcode.ACT1D in ops
         # Collapsed convolutions take a different BLAS path than the
         # reference im2col loop, so they are deliberately absent: their
-        # lanes run the counted per-lane fallback instead.
+        # groups stay unlowered and replay as single steps.
         assert Opcode.CV2D not in ops
         assert Opcode.CV3D not in ops
         assert Opcode.MERGE1D not in ops
@@ -125,37 +129,18 @@ class TestBatchedKernelRegistry:
             kern = batched_kernel_for(op)
             assert (kern is not None) == (op in set(batched_opcodes()))
 
-
-# -- default engine policy ----------------------------------------------------
-
-class TestDefaultPolicy:
-    """``batch=None`` engages the schedule only when every lowered lane
-    has a stacked kernel; fallback groups pay gather/scatter copies with
-    no stacked call to amortize them, so conv-heavy plans keep the
-    classic loop unless ``batch=True`` forces the schedule."""
-
-    def test_fully_covered_plan_defaults_to_batched(self):
-        machine, w, plan = _suite_plan("f1", "mm_fc")
+    def test_lowering_skips_opcodes_without_stacked_kernel(self):
+        """ResNet-152's conv fusion groups have no stacked kernel: they are
+        left unlowered, so every BatchedStep the schedule runs is one
+        stacked call."""
+        _, _, plan = _suite_plan("f1", "ResNet-152")
+        grouped = {plan.steps[start].inst.opcode
+                   for start, _stop in plan.fusion_groups}
+        assert any(batched_kernel_for(op) is None for op in grouped)
+        assert all(batched_kernel_for(b.opcode) is not None
+                   for b in plan.ensure_lowered())
         schedule = plan.replay_schedule()
-        assert schedule.fully_batched and schedule.fallback_lanes == 0
-        executor, _ = _replay_outputs(machine, w, plan, batch=None)
-        assert executor.stats.batched_steps == schedule.batched_steps
-        assert executor.stats.batch_fallbacks == 0
-
-    def test_fallback_plan_defaults_to_classic(self):
-        machine, w, plan = _suite_plan("f1", "ResNet-152")
-        schedule = plan.replay_schedule()
-        assert schedule.has_batches and not schedule.fully_batched
-        assert schedule.fallback_lanes > 0
-        executor, _ = _replay_outputs(machine, w, plan, batch=None)
-        assert executor.stats.batched_steps == 0
-
-    def test_forced_batching_counts_every_fallback_lane(self):
-        machine, w, plan = _suite_plan("f1", "ResNet-152")
-        schedule = plan.replay_schedule()
-        executor, _ = _replay_outputs(machine, w, plan, batch=True)
-        assert executor.stats.batch_fallbacks == schedule.fallback_lanes
-        assert executor.stats.batched_lanes == schedule.batched_lanes
+        assert schedule.fallback_lanes == 0 and schedule.fully_batched
 
 
 # -- the tensor arena ---------------------------------------------------------
@@ -238,7 +223,7 @@ class TestArenaLayout:
             np.testing.assert_array_equal(store.read(tensor.region()), view)
 
 
-# -- schema v3: disk round-trip, migration, poisoning -------------------------
+# -- plan documents: disk round-trip, migration, poisoning -------------------
 
 def _groupy_plan():
     """A small plan with real fusion groups (tiny machine, one matmul)."""
@@ -248,45 +233,34 @@ def _groupy_plan():
                            (c.region(),))]
     machine = tiny_machine()
     plan = compile_program(machine, program)
-    assert plan.fusion_groups  # precondition for every test below
+    assert plan.batched  # precondition for every test below
     return machine, program, plan
 
 
 class TestSchemaV3Cache:
+    """The plan-document disk tier: round-trips re-derive the lowering,
+    poisoned entries recompile, and entries of older schema versions
+    (v2, v3) miss silently under their old file names."""
+
     def test_doc_round_trip_preserves_batched_table(self):
         machine, program, plan = _groupy_plan()
         doc = json.loads(json.dumps(plan.to_doc()))
-        assert doc["version"] == 3 and doc["batched"]
+        assert doc["version"] == PLAN_SCHEMA_VERSION == 4
+        assert "batched" not in doc  # re-derived on load, never stored
         back = plan_from_doc(doc, plan.externals,
                              machine_fingerprint=plan.machine_fingerprint)
-        assert batched_table(back.batched) == batched_table(plan.batched)
+        assert _lowering(back.batched) == _lowering(plan.batched)
         rng = np.random.default_rng(5)
         arrays = {r.tensor.uid: rng.normal(size=r.tensor.shape)
                   for r in program[0].inputs}
         results = []
-        for use_plan, batch in ((None, None), (back, True)):
+        for use_plan in (None, back):
             store = TensorStore()
             for r in program[0].inputs:
                 store.bind(r.tensor, arrays[r.tensor.uid])
-            FractalExecutor(machine, store).run_program(
-                program, plan=use_plan, batch=batch)
+            FractalExecutor(machine, store).run_program(program, plan=use_plan)
             results.append(store.read(program[0].outputs[0]))
         np.testing.assert_array_equal(results[1], results[0])
-
-    def test_tampered_batched_table_is_rejected(self):
-        _, _, plan = _groupy_plan()
-        doc = plan.to_doc()
-        doc["batched"][0]["lanes"] += 1
-        with pytest.raises(PlanFormatError,
-                           match="batched-step table does not match"):
-            plan_from_doc(doc, plan.externals)
-
-    def test_missing_batched_table_is_rejected(self):
-        _, _, plan = _groupy_plan()
-        doc = plan.to_doc()
-        del doc["batched"]
-        with pytest.raises(PlanFormatError, match="batched-step table"):
-            plan_from_doc(doc, plan.externals)
 
     def test_poisoned_disk_entry_warns_and_recompiles(self, tmp_path):
         machine, program, plan = _groupy_plan()
@@ -296,39 +270,45 @@ class TestSchemaV3Cache:
         disk.store(fp, digest, plan)
         path = disk._path(fp, digest)
         doc = json.loads(path.read_text(encoding="utf-8"))
-        doc["batched"][0]["stop"] += 1  # cache poisoning
+        doc["fusion_groups"].pop(0)  # cache poisoning: what lowering reads
         path.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.warns(RuntimeWarning, match="batched-step table"):
+        with pytest.warns(RuntimeWarning, match="fusion groups"):
             fresh = compile_cached(machine, program, disk_dir=tmp_path,
                                    memory_cache=PlanCache())
-        assert batched_table(fresh.batched) == batched_table(plan.batched)
+        assert _lowering(fresh.batched) == _lowering(plan.batched)
 
-    def test_v2_entry_is_a_silent_miss(self, tmp_path):
-        """Pre-batching (v2) cache files live under a v2 filename: the v3
-        lookup never opens them, so migration is a plain miss + recompile
-        with no warning noise."""
+    def _assert_silent_miss(self, tmp_path, old_version):
+        """An older-schema cache file lives under its old filename: the
+        current lookup never opens it, so migration is a plain miss +
+        recompile with no warning noise."""
         machine, program, plan = _groupy_plan()
         disk = DiskPlanCache(tmp_path)
         fp = machine_fingerprint(machine)
         digest = program_digest(program)
-        v3_path = disk._path(fp, digest)
-        assert "plan-v3-" in v3_path.name
-        v2_path = v3_path.parent / v3_path.name.replace("plan-v3-",
-                                                        "plan-v2-")
-        v2_path.parent.mkdir(parents=True, exist_ok=True)
-        v2_doc = plan.to_doc()
-        v2_doc["version"] = 2
-        del v2_doc["batched"]
-        v2_path.write_text(json.dumps(v2_doc), encoding="utf-8")
+        new_path = disk._path(fp, digest)
+        assert "plan-v4-" in new_path.name
+        old_path = new_path.parent / new_path.name.replace(
+            "plan-v4-", f"plan-v{old_version}-")
+        old_path.parent.mkdir(parents=True, exist_ok=True)
+        old_doc = plan.to_doc()
+        old_doc["version"] = old_version
+        old_path.write_text(json.dumps(old_doc), encoding="utf-8")
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # any warning fails the test
             fresh = compile_cached(machine, program, disk_dir=tmp_path,
                                    memory_cache=PlanCache())
         assert fresh.n_steps == plan.n_steps
-        assert v3_path.exists()  # the recompile persisted a v3 entry
-        assert v2_path.exists()  # ... without touching the stale v2 one
+        assert new_path.exists()  # the recompile persisted a v4 entry
+        assert old_path.exists()  # ... without touching the stale one
 
-    def test_v2_document_under_v3_name_warns_and_recompiles(self, tmp_path):
+    def test_v2_entry_is_a_silent_miss(self, tmp_path):
+        self._assert_silent_miss(tmp_path, 2)
+
+    def test_v3_entry_is_a_silent_miss(self, tmp_path):
+        self._assert_silent_miss(tmp_path, 3)
+
+    def test_stale_document_under_current_name_warns_and_recompiles(
+            self, tmp_path):
         machine, program, plan = _groupy_plan()
         disk = DiskPlanCache(tmp_path)
         fp = machine_fingerprint(machine)
@@ -336,7 +316,7 @@ class TestSchemaV3Cache:
         disk.store(fp, digest, plan)
         path = disk._path(fp, digest)
         doc = json.loads(path.read_text(encoding="utf-8"))
-        doc["version"] = 2
+        doc["version"] = 3
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.warns(RuntimeWarning, match="plan version"):
             fresh = compile_cached(machine, program, disk_dir=tmp_path,
@@ -357,12 +337,11 @@ class TestBatchedCounters:
             for t in _bound_tensors(w):
                 store.bind(t, rng.normal(size=t.shape))
             executor = FractalExecutor(machine, store)
-            executor.run_program(w.program, plan=plan, batch=True)
+            executor.run_program(w.program, plan=plan)
             assert registry.value("plan.batched_steps") == \
                 schedule.batched_steps
             assert registry.value("plan.batched_lanes") == \
                 schedule.batched_lanes
-            assert registry.value("ops.batch_fallbacks") == 0
             assert schedule.arena.nbytes > 0
             assert registry.gauge("store.arena_bytes").value == \
                 schedule.arena.nbytes
@@ -382,16 +361,16 @@ class TestBatchedCounters:
         store = TensorStore()
         store.bind(t, np.linspace(-1, 1, 64))
         executor = FractalExecutor(machine, store)
-        executor.run_program(program, plan=plan, batch=True)
+        executor.run_program(program, plan=plan)
         assert executor.stats.alias_scan_skips > 0
         np.testing.assert_array_equal(
             store.read(t.region()),
             np.maximum(np.linspace(-1, 1, 64), 0.0))
 
     def test_batched_replay_beats_and_reports_progress(self):
-        """The vectorized engine honors the classic loop's observability
-        contract: one watchdog beat per plan step (bulk per group) and
-        strided ``replay.progress`` events."""
+        """Schedule replay's observability contract: one watchdog beat per
+        plan step (bulk per group) and strided ``replay.progress``
+        events."""
         import repro.core.executor as executor_mod
         from repro import obs
         from repro.obs import Watchdog
@@ -409,8 +388,7 @@ class TestBatchedCounters:
         old_stride = executor_mod.REPLAY_PROGRESS_STRIDE
         executor_mod.REPLAY_PROGRESS_STRIDE = 2
         try:
-            FractalExecutor(machine, store).run_program(program, plan=plan,
-                                                        batch=True)
+            FractalExecutor(machine, store).run_program(program, plan=plan)
         finally:
             executor_mod.REPLAY_PROGRESS_STRIDE = old_stride
             log.disable()
@@ -423,28 +401,15 @@ class TestBatchedCounters:
 
 class TestSentinelWiring:
     def test_polarity_of_batching_metrics(self):
-        assert metric_polarity("batched_speedup") == "down_bad"
         assert metric_polarity("replay_speedup") == "down_bad"
-        assert metric_polarity("batch_fallbacks") == "up_bad"
 
     def test_speedup_collapse_flags_regression(self, tmp_path):
         history = RunHistory(tmp_path)
         history.append([
             {"benchmark": "mm_fc", "machine": "Cambricon-F100",
-             "metric": "batched_speedup", "value": v, "ts": 1000.0 + i,
+             "metric": "replay_speedup", "value": v, "ts": 1000.0 + i,
              "source": "test"}
-            for i, v in enumerate([2.3] * 10 + [1.05])
-        ])
-        [entry] = analyze_history(history).entries
-        assert entry.status == "regression"
-
-    def test_fallback_growth_flags_regression(self, tmp_path):
-        history = RunHistory(tmp_path)
-        history.append([
-            {"benchmark": "paper-suite", "machine": "Cambricon-F1",
-             "metric": "batch_fallbacks", "value": v, "ts": 1000.0 + i,
-             "source": "test"}
-            for i, v in enumerate([0.0] * 10 + [544.0])
+            for i, v in enumerate([6.5] * 10 + [1.05])
         ])
         [entry] = analyze_history(history).entries
         assert entry.status == "regression"
@@ -452,15 +417,15 @@ class TestSentinelWiring:
     def test_points_from_report_extracts_batching_metrics(self):
         doc = {
             "benchmark": "paper-suite", "machine": "Cambricon-F1",
-            "counters": {"ops.batch_fallbacks": 544},
+            "counters": {"plan.batched_steps": 640},
             "notes": {"plan_microbench": {
                 "benchmark": "mm_fc",
-                "speedup": 2.9, "warm_replay_s": 0.09,
-                "batched_speedup": 2.3, "warm_batched_s": 0.04,
+                "speedup": 6.5, "warm_replay_s": 0.04,
             }},
         }
         points = {p["metric"]: p for p in points_from_report(doc)}
-        assert points["batch_fallbacks"]["value"] == 544
-        assert points["batched_speedup"]["value"] == pytest.approx(2.3)
-        assert points["batched_speedup"]["benchmark"] == "mm_fc"
-        assert points["warm_batched_s"]["value"] == pytest.approx(0.04)
+        assert points["replay_speedup"]["value"] == pytest.approx(6.5)
+        assert points["replay_speedup"]["benchmark"] == "mm_fc"
+        assert points["warm_replay_s"]["value"] == pytest.approx(0.04)
+        # only the replay points remain
+        assert set(points) == {"replay_speedup", "warm_replay_s"}

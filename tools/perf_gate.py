@@ -88,17 +88,11 @@ def main(argv=None) -> int:
                         help="floor for the warm-replay speedup recorded in "
                              "notes.plan_microbench (cold recursive s / warm "
                              "replay s); exit 3 below it.  Default 1.0 = "
-                             "replay must never be slower; CI may demand 2.0")
-    parser.add_argument("--min-batched-speedup", type=float, default=1.0,
-                        metavar="X",
-                        help="floor for the batched-replay speedup recorded "
-                             "in notes.plan_microbench (warm unbatched s / "
-                             "warm batched s); exit 3 below it.  Default 1.0 "
-                             "= batching must never be slower; CI demands "
-                             "2.0 on f100")
+                             "replay must never be slower; CI demands 4.0 "
+                             "on f100")
     parser.add_argument("--microbench-only", action="store_true",
                         help="skip the suite simulation + diff and gate only "
-                             "the plan microbenchmark floors (fast CI mode)")
+                             "the plan microbenchmark floor (fast CI mode)")
     args = parser.parse_args(argv)
 
     if args.microbench_only:
@@ -159,28 +153,17 @@ def main(argv=None) -> int:
 
 
 def _gate_microbench(micro: dict, args) -> int:
-    """Apply both microbench floors; 0 ok / 3 below a floor."""
+    """Apply the microbench floor; 0 ok / 3 below it."""
     speedup = micro.get("speedup")
     if speedup is not None:
         verdict = "ok" if speedup >= args.min_replay_speedup else "REGRESSED"
         print(f"plan replay speedup: {speedup:.2f}x "
               f"(cold {micro.get('cold_recursive_s', 0) * 1e3:.1f} ms -> warm "
               f"{micro.get('warm_replay_s', 0) * 1e3:.1f} ms on "
-              f"{micro.get('benchmark', '?')}; floor "
-              f"{args.min_replay_speedup:.2f}x) {verdict}")
-        if speedup < args.min_replay_speedup:
-            return 3
-    batched = micro.get("batched_speedup")
-    if batched is not None:
-        verdict = ("ok" if batched >= args.min_batched_speedup
-                   else "REGRESSED")
-        print(f"batched replay speedup: {batched:.2f}x "
-              f"(warm {micro.get('warm_replay_s', 0) * 1e3:.1f} ms -> "
-              f"batched {micro.get('warm_batched_s', 0) * 1e3:.1f} ms on "
               f"{micro.get('benchmark', '?')}, "
               f"{micro.get('batched_steps', 0)} batched step(s); floor "
-              f"{args.min_batched_speedup:.2f}x) {verdict}")
-        if batched < args.min_batched_speedup:
+              f"{args.min_replay_speedup:.2f}x) {verdict}")
+        if speedup < args.min_replay_speedup:
             return 3
     return 0
 
@@ -189,7 +172,7 @@ def _microbench_gate(args) -> int:
     """``--microbench-only``: run just the plan microbenchmark and gate it.
 
     Skips the full suite simulation and baseline diff, so CI can enforce
-    the replay/batching floors on the expensive machine (f100) in seconds
+    the replay floor on the expensive machine (f100) in seconds
     instead of minutes.
     """
     import conftest  # benchmarks/conftest.py (sys.path above)
